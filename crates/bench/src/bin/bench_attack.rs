@@ -1,9 +1,8 @@
 //! Emit machine-readable attack-path timings to `results/BENCH_attack.json`.
 //!
-//! Criterion benches are great for local iteration but leave no artifact a
-//! later PR can diff against. This binary times the four dominant costs of
-//! the attack loop on a fixed seeded fixture and writes them as JSON,
-//! establishing the perf trajectory the ROADMAP asks every PR to advance:
+//! This binary times the four dominant costs of the attack loop on a
+//! fixed seeded fixture and writes them as JSON, a perf trajectory later
+//! changes can diff against:
 //!
 //! * `inference_us` — one `Detector::score` call per byte-conv model,
 //! * `gradient_us` — one `benign_loss_grad_into` call per model,
@@ -20,7 +19,7 @@
 //! * `--quick` — fewer repetitions (CI smoke), `--out PATH` — alternative
 //!   output path (so CI never dirties the committed trajectory).
 
-use mpass_bench::bench_fixture;
+use mpass_bench::{bench_fixture, BenchArgs};
 use mpass_core::modify::{modify, ModificationConfig};
 use mpass_core::optimize::{EnsembleOptimizer, OptimizerConfig};
 use mpass_core::pem::{run_pem, PemConfig};
@@ -141,17 +140,8 @@ fn measure(reps: usize) -> Measurements {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let record_baseline = args.iter().any(|a| a == "--record-baseline");
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("results/BENCH_attack.json")
-        .to_owned();
-    let reps = if quick { 3 } else { 15 };
+    let args = BenchArgs::from_env("results/BENCH_attack.json");
+    let reps = if args.quick { 3 } else { 15 };
 
     let m = measure(reps);
     eprintln!(
@@ -159,7 +149,7 @@ fn main() {
         m.inference_us, m.gradient_us, m.optimizer_round_us, m.pem_per_sample_us
     );
 
-    let mut report = std::fs::read_to_string(&out)
+    let mut report = std::fs::read_to_string(&args.out)
         .ok()
         .and_then(|s| serde_json::from_str::<BenchReport>(&s).ok())
         .unwrap_or(BenchReport {
@@ -168,7 +158,7 @@ fn main() {
             current: None,
             speedup: None,
         });
-    if record_baseline {
+    if args.has_flag("--record-baseline") {
         report.baseline = Some(m);
     } else {
         report.current = Some(m);
@@ -181,13 +171,5 @@ fn main() {
             pem_per_sample: b.pem_per_sample_us / c.pem_per_sample_us,
         });
     }
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").unwrap_or_else(|e| {
-        eprintln!("could not write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote {out}");
+    mpass_bench::write_report(&args.out, &report);
 }

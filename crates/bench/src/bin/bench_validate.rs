@@ -23,10 +23,10 @@
 //! Both paths are timed in the same process over the same bytes, so the
 //! reported `speedup` is a machine-independent ratio. `--gate PATH`
 //! fails (exit 1) if any wave's speedup regressed more than 20% relative
-//! to a committed report — the same regression contract as
-//! `bench_serve`.
+//! to a committed report — the shared [`mpass_bench::check_gate`] that
+//! `bench_serve` uses too.
 //!
-//! Usage:
+//! Usage ([`mpass_bench::BenchArgs`]):
 //!
 //! * `bench_validate` — measure and write `results/BENCH_validate.json`,
 //! * `--quick` — fewer repetitions (CI smoke),
@@ -34,11 +34,10 @@
 //! * `--gate PATH` — fail if a speedup regressed >20% vs the report at
 //!   PATH.
 
-use mpass_bench::bench_fixture;
+use mpass_bench::{bench_fixture, time_pair_us, BenchArgs, GateRow, GatedReport};
 use mpass_sandbox::{FunctionalityVerdict, Sandbox};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Full-trace vs digest validation cost for one candidate wave.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -136,20 +135,6 @@ fn diverging_candidate(original: &mpass_pe::PeFile, i: u32) -> Vec<u8> {
         }
     }
     pe.to_bytes()
-}
-
-fn time_pair_us(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut a_us = f64::INFINITY;
-    let mut b_us = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        a();
-        a_us = a_us.min(t.elapsed().as_secs_f64() * 1e6);
-        let t = Instant::now();
-        b();
-        b_us = b_us.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    (a_us, b_us)
 }
 
 fn measure_wave(
@@ -253,54 +238,18 @@ fn measure(reps: usize) -> Vec<ValidateMeasurement> {
     rows
 }
 
-/// Same clamp-then-compare contract as `bench_serve`: ratios only, both
-/// sides clamped so timer noise on very large speedups cannot fail CI,
-/// while a collapse toward 1× still does.
-const GATE_SPEEDUP_CAP: f64 = 8.0;
-
-fn check_gate(report: &ValidateReport, path: &str) -> Result<usize, Vec<String>> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| vec![format!("cannot read gate baseline {path}: {e}")])?;
-    let base: ValidateReport =
-        serde_json::from_str(&text).map_err(|e| vec![format!("bad gate baseline {path}: {e}")])?;
-    let mut failures = Vec::new();
-    let mut checked = 0usize;
-    for bm in &base.measurements {
-        if let Some(cur) = report.measurements.iter().find(|m| m.name == bm.name) {
-            checked += 1;
-            let (cur_s, base_s) =
-                (cur.speedup.min(GATE_SPEEDUP_CAP), bm.speedup.min(GATE_SPEEDUP_CAP));
-            if cur_s < base_s * 0.8 {
-                failures.push(format!(
-                    "{}: digest speedup {:.2}x fell >20% below baseline {:.2}x",
-                    bm.name, cur.speedup, bm.speedup
-                ));
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(checked)
-    } else {
-        Err(failures)
+impl GatedReport for ValidateReport {
+    fn gate_rows(&self) -> Vec<GateRow<'_>> {
+        self.measurements
+            .iter()
+            .map(|m| GateRow { kind: "digest", name: &m.name, speedup: m.speedup })
+            .collect()
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("results/BENCH_validate.json")
-        .to_owned();
-    let gate = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let reps = if quick { 5 } else { 25 };
+    let args = BenchArgs::from_env("results/BENCH_validate.json");
+    let reps = if args.quick { 5 } else { 25 };
 
     let measurements = measure(reps);
     for m in &measurements {
@@ -311,25 +260,5 @@ fn main() {
     }
 
     let report = ValidateReport { fixture: FIXTURE_DESC.to_owned(), measurements };
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json + "\n").unwrap_or_else(|e| {
-        eprintln!("could not write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote {out}");
-
-    if let Some(baseline) = gate {
-        match check_gate(&report, &baseline) {
-            Ok(checked) => println!("gate vs {baseline}: {checked} rows within 20% of baseline"),
-            Err(failures) => {
-                for f in &failures {
-                    eprintln!("GATE FAIL {f}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
+    mpass_bench::finish(&args, &report);
 }

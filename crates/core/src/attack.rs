@@ -25,13 +25,6 @@ enum Channel<'a> {
 }
 
 impl Channel<'_> {
-    fn submit(&self, bytes: &[u8]) -> Result<Verdict, OracleFault> {
-        match self {
-            Channel::Reliable(det) => Ok(det.classify(bytes)),
-            Channel::Unreliable(oracle) => oracle.submit(bytes),
-        }
-    }
-
     /// Batched submission: one verdict-or-fault per item, in input order.
     fn submit_batch(&self, items: &[&[u8]], out: &mut Vec<Result<Verdict, OracleFault>>) {
         match self {
@@ -119,8 +112,9 @@ impl<'a> HardLabelTarget<'a> {
     }
 
     /// Gate every submission behind adversarial-example validation
-    /// (builder-style): candidate bytes must parse as a PE and round-trip
-    /// (`parse(to_bytes(pe)) == pe`) before they reach the oracle.
+    /// (builder-style): candidate bytes must parse in a supported
+    /// container format (PE or Mach-O) and round-trip
+    /// (`parse(to_bytes(image)) == image`) before they reach the oracle.
     /// Invalid candidates fail with [`QueryError::InvalidCandidate`],
     /// consume no budget, and are counted in `oracle/ae_rejected`.
     pub fn with_ae_validation(mut self) -> Self {
@@ -133,69 +127,29 @@ impl<'a> HardLabelTarget<'a> {
         self.validate_ae
     }
 
-    /// Query the target. Fails with [`QueryError::BudgetExhausted`] once
-    /// the budget is spent; on an unreliable channel, failed submissions
+    /// Query the target: a [`HardLabelTarget::query_batch`] of one. Fails
+    /// with [`QueryError::BudgetExhausted`] once the budget is spent —
+    /// ahead of the AE gate, so a spent budget is reported even for an
+    /// invalid candidate; on an unreliable channel, failed submissions
     /// are retried per the [`RetryPolicy`] and surface as the other
     /// [`QueryError`] variants when the policy gives up. Only delivered
     /// verdicts consume budget (see the type-level docs).
     pub fn query(&mut self, bytes: &[u8]) -> Result<Verdict, QueryError> {
+        // Checked here because the batch validates candidates first: a
+        // spent budget must win over an invalid candidate.
         if self.budget.is_exhausted() {
             return Err(QueryBudgetExhausted { limit: self.budget.limit() }.into());
         }
-        if self.validate_ae && !candidate_is_valid(bytes) {
-            trace::counter("oracle/ae_rejected", 1);
-            return Err(QueryError::InvalidCandidate);
-        }
-        if !self.breaker.allows() {
-            trace::counter("oracle/breaker_open", 1);
-            return Err(QueryError::Fatal);
-        }
-        let _span = trace::span("stage/query");
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.channel.submit(bytes) {
-                Ok(verdict) => {
-                    self.breaker.record_success();
-                    self.budget
-                        .try_consume()
-                        .expect("budget pre-checked before submitting");
-                    trace::counter("queries", 1);
-                    return Ok(verdict);
-                }
-                Err(OracleFault::Fatal) => {
-                    self.breaker.record_failure(&self.policy);
-                    return Err(QueryError::Fatal);
-                }
-                Err(fault) => {
-                    if attempt >= self.policy.max_attempts.max(1) {
-                        self.breaker.record_failure(&self.policy);
-                        return Err(match fault {
-                            OracleFault::RateLimited { retry_after_ms } => {
-                                QueryError::RateLimited { retry_after_ms }
-                            }
-                            _ => QueryError::Transient { attempts: attempt },
-                        });
-                    }
-                    trace::counter("oracle/retry", 1);
-                    let hint = match fault {
-                        OracleFault::RateLimited { retry_after_ms } => retry_after_ms,
-                        _ => 0,
-                    };
-                    let backoff = self.policy.backoff_ms(attempt, self.retry_seed).max(hint);
-                    trace::counter("oracle/backoff_ms", backoff);
-                    if self.policy.sleep && backoff > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(backoff));
-                    }
-                }
-            }
-        }
+        let mut out = Vec::with_capacity(1);
+        self.query_batch(&[bytes], &mut out);
+        out.pop().expect("query_batch answers every item")
     }
 
     /// Query the target with a whole candidate batch, appending one
     /// result per item to `out` in input order.
     ///
-    /// Semantics mirror N sequential [`HardLabelTarget::query`] calls:
+    /// This is the one retry/breaker/budget loop; [`HardLabelTarget::query`]
+    /// is a batch of one. Semantics mirror N sequential `query` calls:
     ///
     /// * **AE validation is per candidate** — invalid items fail with
     ///   [`QueryError::InvalidCandidate`], are never submitted, and
@@ -808,6 +762,19 @@ mod tests {
         assert_eq!(t.queries(), 1);
         let shard = mpass_engine::metrics::take().unwrap().finish("t", 0.0);
         assert_eq!(shard.counters["oracle/ae_rejected"], 1);
+
+        // Once the budget is spent, an invalid candidate reports the spent
+        // budget: the budget check runs ahead of the gate, which never
+        // sees the candidate.
+        mpass_engine::metrics::install(mpass_engine::Collector::default());
+        assert!(t.query(&w.ds.samples[0].bytes).is_ok());
+        assert!(t.query(&w.ds.samples[0].bytes).is_ok());
+        assert_eq!(
+            t.query(b"MZ garbage"),
+            Err(QueryError::BudgetExhausted(QueryBudgetExhausted { limit: 3 }))
+        );
+        let shard = mpass_engine::metrics::take().unwrap().finish("t", 0.0);
+        assert_eq!(shard.counters.get("oracle/ae_rejected").copied().unwrap_or(0), 0);
     }
 
     #[test]

@@ -200,7 +200,7 @@ mod tests {
         image[0x500..0x500 + stub_bytes.len()].copy_from_slice(&stub_bytes);
 
         let mut vm = Vm::from_image(image, 0x500);
-        let exec = vm.run_in_place();
+        let exec = vm.run();
         assert!(exec.completed(), "outcome {:?}", exec.outcome);
         assert_eq!(vm.regs()[7], 42, "original program must have run");
         assert_eq!(&vm.memory()[0x100..0x100 + original.len()], &original[..]);
@@ -225,7 +225,7 @@ mod tests {
         let bytes = layout_sequential(&stub, 0x500);
         image[0x500..0x500 + bytes.len()].copy_from_slice(&bytes);
         let mut vm = Vm::from_image(image, 0x500);
-        let exec = vm.run_in_place();
+        let exec = vm.run();
         assert!(exec.completed());
         // r1..r5 were pushed at entry (all zero) and popped before the jump.
         for r in 1..=5 {

@@ -190,7 +190,7 @@ mod tests {
         image[0x300..0x300 + keys.len()].copy_from_slice(&keys);
         image[0x500..0x500 + layout_bytes.len()].copy_from_slice(layout_bytes);
         let mut vm = Vm::from_image(image, 0x500);
-        let exec = vm.run_in_place();
+        let exec = vm.run();
         let mem = vm.memory()[0x100..0x100 + prog.len()].to_vec();
         (exec, mem)
     }

@@ -5,17 +5,17 @@
 //! ([`HardLabelTarget::with_ae_validation`](crate::attack::HardLabelTarget::with_ae_validation)),
 //! which refuses to submit malformed candidates, and campaign ingestion,
 //! which quarantines samples whose bytes would destabilize the mutation
-//! machinery. Both demand that the bytes parse as a PE *and* survive a
-//! serialize→parse round trip unchanged, so every byte string that crosses
-//! either boundary is a well-formed, reproducible image.
+//! machinery. Both demand that the bytes parse in a supported container
+//! format (PE or Mach-O, detected by magic) *and* survive a
+//! serialize→parse round trip unchanged, so every byte string that
+//! crosses either boundary is a well-formed, reproducible image.
 //!
 //! This module is that predicate, stated once: [`candidate_is_valid`] for
 //! the boolean gate, [`candidate_reject_reason`] when the caller journals
-//! a diagnostic, and [`validate_candidates`] for batch use ahead of a
-//! query wave. Behavioural (trace-digest) validation is a separate,
+//! a diagnostic. Behavioural (trace-digest) validation is a separate,
 //! costlier layer — see `mpass_sandbox::Sandbox::validate_batch`.
 
-use mpass_pe::PeFile;
+use mpass_binary::{BinaryFormat, BinaryImage};
 
 /// The structural AE validation predicate: the candidate must parse and
 /// its parsed form must survive a serialize→parse round trip unchanged.
@@ -26,21 +26,16 @@ pub fn candidate_is_valid(bytes: &[u8]) -> bool {
 /// `None` when `bytes` pass the structural predicate; otherwise the
 /// diagnostic reason they are rejected or quarantined with.
 pub fn candidate_reject_reason(bytes: &[u8]) -> Option<String> {
-    match PeFile::parse(bytes) {
+    match BinaryImage::parse_auto(bytes) {
         Err(e) => Some(format!("does not parse: {e}")),
-        Ok(pe) => match PeFile::parse(&pe.to_bytes()) {
+        Ok(image) => match BinaryImage::parse_auto(&image.to_bytes()) {
             Err(e) => Some(format!("round-trip does not re-parse: {e}")),
-            Ok(pe2) if pe2 != pe => Some("round-trip does not reproduce the image".to_owned()),
+            Ok(again) if again != image => {
+                Some("round-trip does not reproduce the image".to_owned())
+            }
             Ok(_) => None,
         },
     }
-}
-
-/// Apply the structural predicate to a batch of candidates, in input
-/// order — the up-front sweep [`query_batch`](crate::attack::HardLabelTarget::query_batch)
-/// runs before spending any oracle budget.
-pub fn validate_candidates(candidates: &[&[u8]]) -> Vec<bool> {
-    candidates.iter().map(|c| candidate_is_valid(c)).collect()
 }
 
 #[cfg(test)]
@@ -49,24 +44,18 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected_with_reason() {
-        assert!(!candidate_is_valid(b"MZ garbage"));
-        let reason = candidate_reject_reason(b"MZ garbage").unwrap();
-        assert!(reason.starts_with("does not parse: "), "{reason}");
-    }
-
-    #[test]
-    fn batch_matches_scalar_predicate() {
         let good = {
             let mut pe = mpass_pe::PeBuilder::new();
             pe.add_section(".text", vec![0u8; 8], mpass_pe::SectionFlags::CODE).unwrap();
             pe.set_entry_section(".text", 0).unwrap();
             pe.build().unwrap().to_bytes()
         };
-        let bad = vec![0u8; 32];
-        let flags = validate_candidates(&[&good, &bad, &good]);
-        assert_eq!(flags, vec![true, false, true]);
-        for (bytes, flag) in [(&good, true), (&bad, false)] {
-            assert_eq!(candidate_is_valid(bytes), flag);
+        assert!(candidate_is_valid(&good));
+        assert_eq!(candidate_reject_reason(&good), None);
+        for bad in [&b"MZ garbage"[..], &[0u8; 32][..], b""] {
+            assert!(!candidate_is_valid(bad));
+            let reason = candidate_reject_reason(bad).unwrap();
+            assert!(reason.starts_with("does not parse: "), "{reason}");
         }
     }
 }

@@ -1,10 +1,16 @@
 //! Campaign-level robustness options shared by the experiment runners:
 //! fault injection on the oracle channel, the retry policy applied to
-//! it, and the crash-safe resume journal.
+//! it, and the crash-safe resume journal — plus the one shard loop
+//! (`ShardRun`) the offline and commercial campaigns both run.
 
 use crate::journal::CampaignJournal;
-use mpass_core::{HardLabelTarget, QueryBudget, RetryPolicy};
+use crate::world::World;
+use mpass_core::attack::metrics::{summarize, AttackStats};
+use mpass_core::{Attack, AttackOutcome, HardLabelTarget, QueryBudget, RetryPolicy};
+use mpass_corpus::Sample;
 use mpass_detectors::{Detector, FaultProfile, UnreliableOracle};
+use mpass_engine::metrics as trace;
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// How a campaign run should treat the oracle transport and its own
@@ -78,10 +84,10 @@ impl<'a> ShardOracle<'a> {
     /// sample. `retry_seed` keys the deterministic backoff jitter.
     ///
     /// Campaign targets always validate adversarial candidates before
-    /// submission: bytes that do not re-parse and round-trip as a PE
-    /// are rejected locally (no budget spent) and recorded in metrics,
-    /// so a buggy or hostile mutation can never smuggle a malformed
-    /// sample into the oracle channel.
+    /// submission: bytes that do not re-parse and round-trip in their
+    /// container format are rejected locally (no budget spent) and
+    /// recorded in metrics, so a buggy or hostile mutation can never
+    /// smuggle a malformed sample into the oracle channel.
     pub fn target(
         &self,
         max_queries: usize,
@@ -98,6 +104,103 @@ impl<'a> ShardOracle<'a> {
                     .with_ae_validation()
             }
         }
+    }
+}
+
+/// One (attack, target) shard of a campaign: what [`ShardRun::run`]
+/// needs besides the caller's per-sample extras.
+pub(crate) struct ShardRun<'a> {
+    pub world: &'a World,
+    pub attack: &'a mut dyn Attack,
+    pub target: &'a dyn Detector,
+    pub label: &'a str,
+    pub opts: &'a CampaignOptions,
+    pub journal: Option<&'a CampaignJournal>,
+    pub shard_seed: u64,
+}
+
+impl ShardRun<'_> {
+    /// Attack every sample of the target's attack set, with
+    /// journal-backed resume at two granularities.
+    ///
+    /// A shard whose final cell is already journalled is returned
+    /// wholesale (`campaign/shard_resumed`). Otherwise, per sample:
+    ///
+    /// * when `quarantine` names a reason, the sample is counted
+    ///   (`campaign/quarantined`), journalled once with that reason and
+    ///   left out of the statistics instead of being attacked;
+    /// * when the attack carries no state across samples
+    ///   ([`Attack::stateful_across_samples`] is `false`), a journalled
+    ///   outcome is replayed instead of re-attacked
+    ///   (`campaign/sample_resumed`); a stateful attack (RLA's Q-table,
+    ///   MAB's arms) must re-run skipped samples to rebuild its state, so
+    ///   it only gets shard-level resume;
+    /// * otherwise the sample is attacked between `begin_sample` and
+    ///   `end_sample`, and its outcome is journalled before `settle` sees
+    ///   it, so a resumed run can rebuild everything — including the AE
+    ///   bytes — from the record.
+    ///
+    /// `settle` folds each replayed or fresh outcome into `state`;
+    /// `into_cell` turns the final state and the shard's statistics into
+    /// the cell, which is journalled as the shard's result.
+    pub(crate) fn run<S, C: Serialize + Deserialize>(
+        self,
+        quarantine: impl Fn(&Sample) -> Option<String>,
+        mut state: S,
+        mut settle: impl FnMut(&mut S, &Sample, &mut AttackOutcome),
+        into_cell: impl FnOnce(S, AttackStats) -> C,
+    ) -> C {
+        let ShardRun { world, attack, target, label, opts, journal, shard_seed } = self;
+        let journalled = |written: std::io::Result<()>| {
+            written.unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
+        };
+        if let Some(cell) = journal.and_then(|j| j.shard_cell::<C>(label)) {
+            trace::counter("campaign/shard_resumed", 1);
+            return cell;
+        }
+        let replay_samples = !attack.stateful_across_samples();
+        let oracle = ShardOracle::build(target, opts, shard_seed);
+        let samples = world.attack_set(target);
+        let mut outcomes = Vec::with_capacity(samples.len());
+        for sample in samples {
+            if let Some(reason) = quarantine(sample) {
+                trace::counter("campaign/quarantined", 1);
+                if let Some(journal) = journal {
+                    if journal.quarantine_reason(label, &sample.name).is_none() {
+                        journalled(journal.record_quarantine(label, &sample.name, &reason));
+                    }
+                }
+                continue;
+            }
+            let resumed = replay_samples
+                .then(|| journal.and_then(|j| j.sample(label, &sample.name)).cloned())
+                .flatten();
+            let outcome = match resumed {
+                Some(mut outcome) => {
+                    trace::counter("campaign/sample_resumed", 1);
+                    settle(&mut state, sample, &mut outcome);
+                    outcome
+                }
+                None => {
+                    trace::begin_sample(&sample.name);
+                    let mut target =
+                        oracle.target(world.config.max_queries, &opts.retry, shard_seed);
+                    let mut outcome = attack.attack(sample, &mut target);
+                    if let Some(journal) = journal {
+                        journalled(journal.record_sample(label, &outcome));
+                    }
+                    settle(&mut state, sample, &mut outcome);
+                    trace::end_sample();
+                    outcome
+                }
+            };
+            outcomes.push(outcome);
+        }
+        let cell = into_cell(state, summarize(&outcomes));
+        if let Some(journal) = journal {
+            journalled(journal.record_shard(label, &cell));
+        }
+        cell
     }
 }
 

@@ -2,14 +2,14 @@
 //! commercial ML AVs, keeping successful AEs for the Figure 4 learning
 //! experiment.
 
-use crate::campaign::{CampaignOptions, ShardOracle};
+use crate::campaign::{CampaignOptions, ShardRun};
 use crate::journal::CampaignJournal;
 use crate::offline::{make_attack, ATTACK_NAMES};
 use crate::world::World;
-use mpass_core::attack::metrics::{summarize, AttackStats};
+use mpass_core::attack::metrics::AttackStats;
 use mpass_core::Attack;
 use mpass_detectors::{CachedAv, Detector};
-use mpass_engine::{metrics as trace, Engine, MetricsFile, Shard};
+use mpass_engine::{Engine, MetricsFile, Shard};
 use serde::{Deserialize, Serialize};
 
 /// One (attack, AV) cell with its surviving AEs.
@@ -67,10 +67,11 @@ pub fn attack_av(world: &World, attack: &mut dyn Attack, av: &dyn Detector) -> C
     attack_av_with(world, attack, av, &label, &CampaignOptions::default(), None, 0)
 }
 
-/// [`attack_av`] with the full campaign machinery — see
-/// [`crate::offline::attack_target_with`] for the resume semantics; the
-/// collected `successful_aes` rebuild identically from journalled
-/// outcomes because the AE bytes ride along in each record.
+/// [`attack_av`] with the full campaign machinery — the same shard loop
+/// as [`crate::offline::attack_target_with`], without its ingestion
+/// gate and sandbox check; the collected `successful_aes` rebuild
+/// identically from journalled outcomes because the AE bytes ride along
+/// in each record.
 pub fn attack_av_with(
     world: &World,
     attack: &mut dyn Attack,
@@ -80,54 +81,19 @@ pub fn attack_av_with(
     journal: Option<&CampaignJournal>,
     shard_seed: u64,
 ) -> CommercialCell {
-    if let Some(cell) = journal.and_then(|j| j.shard_cell::<CommercialCell>(label)) {
-        trace::counter("campaign/shard_resumed", 1);
-        return cell;
-    }
-    let replay_samples = !attack.stateful_across_samples();
-    let oracle = ShardOracle::build(av, opts, shard_seed);
-    let samples = world.attack_set(av);
-    let mut outcomes = Vec::with_capacity(samples.len());
-    let mut successful_aes = Vec::new();
-    for sample in samples {
-        let resumed = replay_samples
-            .then(|| journal.and_then(|j| j.sample(label, &sample.name)).cloned())
-            .flatten();
-        let mut outcome = match resumed {
-            Some(outcome) => {
-                trace::counter("campaign/sample_resumed", 1);
-                outcome
-            }
-            None => {
-                trace::begin_sample(&sample.name);
-                let mut target = oracle.target(world.config.max_queries, &opts.retry, shard_seed);
-                let outcome = attack.attack(sample, &mut target);
-                if let Some(journal) = journal {
-                    journal
-                        .record_sample(label, &outcome)
-                        .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-                }
-                trace::end_sample();
-                outcome
-            }
-        };
-        if let Some(ae) = outcome.adversarial.take() {
-            successful_aes.push(ae);
-        }
-        outcomes.push(outcome);
-    }
-    let cell = CommercialCell {
-        attack: attack.name().to_owned(),
-        av: av.name().to_owned(),
-        stats: summarize(&outcomes),
-        successful_aes,
-    };
-    if let Some(journal) = journal {
-        journal
-            .record_shard(label, &cell)
-            .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-    }
-    cell
+    let attack_name = attack.name().to_owned();
+    let shard = ShardRun { world, attack, target: av, label, opts, journal, shard_seed };
+    shard.run(
+        |_| None,
+        Vec::new(),
+        |successful_aes, _, outcome| successful_aes.extend(outcome.adversarial.take()),
+        |successful_aes, stats| CommercialCell {
+            attack: attack_name,
+            av: av.name().to_owned(),
+            stats,
+            successful_aes,
+        },
+    )
 }
 
 /// Run the full Figure 3 experiment on `engine`, one shard per

@@ -2,12 +2,14 @@
 //! against the four offline detectors, plus the §IV-A functionality
 //! verification of every generated AE.
 
-use crate::campaign::{CampaignOptions, ShardOracle};
+use crate::campaign::{CampaignOptions, ShardRun};
 use crate::journal::CampaignJournal;
 use crate::world::World;
 use mpass_baselines::{Gamma, GammaConfig, Mab, MabConfig, MalRnn, MalRnnConfig, Rla, RlaConfig};
-use mpass_core::attack::metrics::{summarize, AttackStats};
-use mpass_core::{Attack, MPassAttack, MPassConfig};
+use mpass_core::attack::metrics::AttackStats;
+use mpass_core::validate::candidate_reject_reason;
+use mpass_core::{Attack, AttackOutcome, MPassAttack, MPassConfig};
+use mpass_corpus::Sample;
 use mpass_detectors::Detector;
 use mpass_engine::{metrics as trace, Engine, MetricsFile, Shard};
 use mpass_sandbox::Sandbox;
@@ -116,15 +118,6 @@ pub fn attack_target(
     attack_target_with(world, attack, target, &label, &CampaignOptions::default(), None, 0)
 }
 
-/// `None` when `bytes` ingest cleanly as a PE; otherwise the diagnostic
-/// reason the sample is quarantined with. Clean ingestion means the
-/// bytes parse *and* survive a serialize/re-parse round trip — literally
-/// the same predicate the oracle channel applies to outgoing candidates
-/// ([`mpass_core::validate`]), applied here to incoming samples.
-fn ingest_reason(bytes: &[u8]) -> Option<String> {
-    mpass_core::validate::candidate_reject_reason(bytes)
-}
-
 /// [`attack_target`] with the full campaign machinery: an optionally
 /// fault-injected oracle channel, and journal-backed resume.
 ///
@@ -136,6 +129,13 @@ fn ingest_reason(bytes: &[u8]) -> Option<String> {
 /// (`campaign/sample_resumed`); a stateful attack (RLA's Q-table, MAB's
 /// arms) must re-run skipped samples to rebuild its state, so it only
 /// gets shard-level resume.
+///
+/// Ingestion gate: a sample whose bytes do not parse and round-trip —
+/// literally the predicate the oracle channel applies to outgoing
+/// candidates ([`mpass_core::validate`]) — is quarantined with a
+/// diagnostic record instead of being handed to the attack, where
+/// hostile structure could otherwise surface deep inside the mutation
+/// machinery.
 pub fn attack_target_with(
     world: &World,
     attack: &mut dyn Attack,
@@ -145,91 +145,41 @@ pub fn attack_target_with(
     journal: Option<&CampaignJournal>,
     shard_seed: u64,
 ) -> OfflineCell {
-    if let Some(cell) = journal.and_then(|j| j.shard_cell::<OfflineCell>(label)) {
-        trace::counter("campaign/shard_resumed", 1);
-        return cell;
-    }
-    let replay_samples = !attack.stateful_across_samples();
-    let oracle = ShardOracle::build(target, opts, shard_seed);
+    let attack_name = attack.name().to_owned();
     let sandbox = Sandbox::new();
-    let samples = world.attack_set(target);
-    let mut outcomes = Vec::with_capacity(samples.len());
-    let mut broken = 0;
-    let mut checked = 0;
-    let mut verify = |original: &[u8], outcome: &mut mpass_core::AttackOutcome| {
+    // (broken, checked) over the successful AEs.
+    let verify = |(broken, checked): &mut (usize, usize),
+                  sample: &Sample,
+                  outcome: &mut AttackOutcome| {
         if let Some(ae) = outcome.adversarial.take() {
-            checked += 1;
+            *checked += 1;
             let _span = trace::span("stage/verify");
             // Digest-based validation: baseline the original once, replay
             // the AE against it with an early-aborting comparing sink.
-            let verdict = match sandbox.baseline_digest(original) {
+            let verdict = match sandbox.baseline_digest(&sample.bytes) {
                 Ok(baseline) => sandbox.verify_candidate(&baseline, &ae),
                 Err(_) => mpass_sandbox::FunctionalityVerdict::BrokenParse,
             };
             trace::counter("campaign/ae_validated", 1);
             if !verdict.is_preserved() {
-                broken += 1;
+                *broken += 1;
                 trace::counter("campaign/ae_digest_mismatch", 1);
             }
         }
     };
-    for sample in samples {
-        // Ingestion gate: a sample whose bytes do not re-parse and
-        // round-trip is quarantined with a diagnostic record instead of
-        // being handed to the attack, where hostile structure could
-        // otherwise surface deep inside the mutation machinery.
-        if let Some(reason) = ingest_reason(&sample.bytes) {
-            trace::counter("campaign/quarantined", 1);
-            if let Some(journal) = journal {
-                if journal.quarantine_reason(label, &sample.name).is_none() {
-                    journal
-                        .record_quarantine(label, &sample.name, &reason)
-                        .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-                }
-            }
-            continue;
-        }
-        let resumed = replay_samples
-            .then(|| journal.and_then(|j| j.sample(label, &sample.name)).cloned())
-            .flatten();
-        let outcome = match resumed {
-            Some(mut outcome) => {
-                trace::counter("campaign/sample_resumed", 1);
-                verify(&sample.bytes, &mut outcome);
-                outcome
-            }
-            None => {
-                trace::begin_sample(&sample.name);
-                let mut target = oracle.target(world.config.max_queries, &opts.retry, shard_seed);
-                let mut outcome = attack.attack(sample, &mut target);
-                // Journalled before the AE is consumed by the verify
-                // step, so a resumed run can rebuild everything —
-                // including the AE bytes — from the record.
-                if let Some(journal) = journal {
-                    journal
-                        .record_sample(label, &outcome)
-                        .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-                }
-                verify(&sample.bytes, &mut outcome);
-                trace::end_sample();
-                outcome
-            }
-        };
-        outcomes.push(outcome);
-    }
-    let cell = OfflineCell {
-        attack: attack.name().to_owned(),
-        target: target.name().to_owned(),
-        stats: summarize(&outcomes),
-        broken,
-        checked,
-    };
-    if let Some(journal) = journal {
-        journal
-            .record_shard(label, &cell)
-            .unwrap_or_else(|e| panic!("shard {label}: journal write failed: {e}"));
-    }
-    cell
+    let shard = ShardRun { world, attack, target, label, opts, journal, shard_seed };
+    shard.run(
+        |sample| candidate_reject_reason(&sample.bytes),
+        (0, 0),
+        verify,
+        |(broken, checked), stats| OfflineCell {
+            attack: attack_name,
+            target: target.name().to_owned(),
+            stats,
+            broken,
+            checked,
+        },
+    )
 }
 
 /// Build one named attack of the roster for a campaign against
@@ -370,20 +320,6 @@ mod tests {
         assert_eq!(labels_serial, labels_parallel);
     }
 
-    #[test]
-    fn ingest_reason_accepts_corpus_and_rejects_garbage() {
-        assert!(ingest_reason(b"MZ but not actually a PE").is_some());
-        let ds = mpass_corpus::Dataset::generate(&mpass_corpus::CorpusConfig {
-            n_malware: 1,
-            n_benign: 1,
-            seed: 3,
-            no_slack_fraction: 0.0,
-        });
-        for s in &ds.samples {
-            assert_eq!(ingest_reason(&s.bytes), None, "{}", s.name);
-        }
-    }
-
     /// A corrupted sample is quarantined — journalled with a diagnostic,
     /// counted, and excluded from the attacked population — rather than
     /// fed into the attack machinery.
@@ -437,6 +373,70 @@ mod tests {
         );
         drop(reopened);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The ingestion gate and the AE gate are format-generic: on an
+    /// all-Mach-O corpus every sample passes the structural predicate,
+    /// the campaign quarantines none of them, and each sample's own bytes
+    /// clear the oracle channel's AE gate.
+    #[test]
+    fn mach_o_samples_are_neither_quarantined_nor_rejected() {
+        struct FlagsAll;
+        impl Detector for FlagsAll {
+            fn name(&self) -> &str {
+                "FlagsAll"
+            }
+            fn score(&self, _: &[u8]) -> f32 {
+                1.0
+            }
+        }
+        /// Submits the sample unchanged, once.
+        struct SubmitOriginal;
+        impl Attack for SubmitOriginal {
+            fn name(&self) -> &str {
+                "SubmitOriginal"
+            }
+            fn attack(
+                &mut self,
+                sample: &Sample,
+                target: &mut mpass_core::HardLabelTarget<'_>,
+            ) -> AttackOutcome {
+                assert!(target.validates_ae());
+                let verdict = target.query(&sample.bytes);
+                assert_eq!(verdict, Ok(mpass_detectors::Verdict::Malicious), "{}", sample.name);
+                AttackOutcome {
+                    sample: sample.name.clone(),
+                    evaded: false,
+                    queries: target.queries(),
+                    adversarial: None,
+                    original_size: sample.bytes.len(),
+                    final_size: sample.bytes.len(),
+                }
+            }
+        }
+
+        let mut cfg = WorldConfig::quick();
+        cfg.attack_samples = 4;
+        let mut world = World::build(cfg);
+        world.dataset = mpass_corpus::Dataset::generate_mixed(&world.config.corpus, 1.0);
+        for s in &world.dataset.samples {
+            assert_eq!(candidate_reject_reason(&s.bytes), None, "{}", s.name);
+        }
+        mpass_engine::metrics::install(mpass_engine::Collector::default());
+        let cell = attack_target_with(
+            &world,
+            &mut SubmitOriginal,
+            &FlagsAll,
+            "SubmitOriginal vs FlagsAll",
+            &CampaignOptions::default(),
+            None,
+            3,
+        );
+        let metrics = mpass_engine::metrics::take().unwrap().finish("t", 0.0);
+        assert_eq!(cell.stats.samples, 4);
+        assert!(!metrics.counters.contains_key("campaign/quarantined"));
+        assert!(!metrics.counters.contains_key("oracle/ae_rejected"));
+        assert_eq!(metrics.counters["queries"], 4);
     }
 
     /// A resumed campaign over a complete journal replays every shard

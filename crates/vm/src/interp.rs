@@ -330,20 +330,14 @@ impl Vm {
         Ok(())
     }
 
-    /// Execute until halt, fault or step limit; consumes the VM's transient
-    /// state but leaves memory/registers inspectable afterwards via
-    /// [`Vm::memory`] / [`Vm::regs`] when called through
-    /// [`Vm::run_in_place`].
-    pub fn run(mut self) -> Execution {
-        self.run_in_place()
-    }
-
-    /// Like [`Vm::run`] but borrows, so memory and registers can be
-    /// inspected afterwards. Drives a [`RecordingSink`] bounded by
+    /// Execute until halt, fault or step limit, recording the API trace.
+    /// Borrows, so memory and registers stay inspectable afterwards via
+    /// [`Vm::memory`] / [`Vm::regs`]; `Vm::load(&pe).run()` works on a
+    /// temporary too. Drives a [`RecordingSink`] bounded by
     /// [`VmLimits::trace_limit`] — the sink-era spelling of the original
     /// trace-vector interpreter, bit-for-bit including the
     /// [`Resource::Trace`] exhaustion behaviour.
-    pub fn run_in_place(&mut self) -> Execution {
+    pub fn run(&mut self) -> Execution {
         let mut sink = RecordingSink::with_limit(self.limits.trace_limit);
         let run = self.run_with_sink(&mut sink);
         Execution { outcome: run.outcome, steps: run.steps, trace: sink.into_trace() }
@@ -542,7 +536,7 @@ mod tests {
         let mut mem = vec![0u8; 4096];
         mem[..code.len()].copy_from_slice(&code);
         let mut vm = Vm::from_image(mem, 0);
-        let exec = vm.run_in_place();
+        let exec = vm.run();
         (exec, vm)
     }
 

@@ -140,7 +140,7 @@ fn memory_round_trip() {
         }
         mem[..code.len()].copy_from_slice(&code);
         let mut vm = Vm::from_image(mem, 0);
-        let exec = vm.run_in_place();
+        let exec = vm.run();
         if addr as usize >= code.len() {
             assert!(exec.completed());
             assert_eq!(vm.regs()[2], value as u32);
